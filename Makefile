@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race lint vet gusvet fuzz-smoke clean
+.PHONY: all build test race lint vet gusvet perfbench-test fuzz-smoke clean
 
 all: build test
 
@@ -37,6 +37,14 @@ vet:
 # package through the standard vettool protocol.
 gusvet: $(BIN)/gusvet
 	$(GO) vet -vettool=$(CURDIR)/$(BIN)/gusvet ./...
+
+# perfbench-test checks the repository benchmark, a nested module the
+# root ./... does not reach: its tests (replayed layer answers must equal
+# gus's bit for bit) under the race detector, go vet, and gusvet.
+perfbench-test: $(BIN)/gusvet
+	cd perfbench && $(GO) test -race ./...
+	cd perfbench && $(GO) vet ./...
+	cd perfbench && $(GO) vet -vettool=$(CURDIR)/$(BIN)/gusvet ./...
 
 $(BIN)/gusvet: FORCE
 	$(GO) build -o $(BIN)/gusvet ./cmd/gusvet

@@ -45,7 +45,6 @@ import (
 	"github.com/sampling-algebra/gus/internal/ops"
 	"github.com/sampling-algebra/gus/internal/plan"
 	"github.com/sampling-algebra/gus/internal/relation"
-	"github.com/sampling-algebra/gus/internal/sampling"
 	"github.com/sampling-algebra/gus/internal/sqlparse"
 	"github.com/sampling-algebra/gus/internal/stats"
 	"github.com/sampling-algebra/gus/internal/synopsis"
@@ -762,19 +761,9 @@ func (db *DB) runInner(ctx context.Context, planned *sqlparse.Planned, o queryOp
 	}
 	cards := map[string]int{}
 	scanned := 0
-	// Samples drawn from a plan without set operations carry each base
-	// tuple ID at most once per lineage slot (self-joins are rejected at
-	// planning), so the estimator may group moments without hashing. SYSTEM
-	// sampling is the other exception: it rewrites lineage to block IDs,
-	// which repeat for every tuple of a kept block.
-	o.distinctLineage = true
+	o.distinctLineage = plan.DistinctLineage(planned.Root)
 	plan.Walk(planned.Root, func(n plan.Node) {
-		switch s := n.(type) {
-		case *plan.Sample:
-			if _, isBlock := s.Method.(*sampling.Block); isBlock {
-				o.distinctLineage = false
-			}
-		case *plan.Scan:
+		if s, ok := n.(*plan.Scan); ok {
 			alias := s.Rel.Name()
 			if s.Alias != "" {
 				alias = s.Alias
@@ -787,8 +776,6 @@ func (db *DB) runInner(ctx context.Context, planned *sqlparse.Planned, o queryOp
 				cards[alias] = s.FullRows
 			}
 			scanned += s.Rel.Len()
-		case *plan.Union, *plan.Intersect:
-			o.distinctLineage = false
 		}
 	})
 	res := &Result{

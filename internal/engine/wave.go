@@ -36,6 +36,8 @@ type WaveExec struct {
 	proj  *projSpec
 	zp    *zonePruner
 	alias string
+	// distinct records plan.DistinctLineage of the prepared plan.
+	distinct bool
 }
 
 // PrepareWaves prepares root for wave-by-wave execution, or returns
@@ -65,14 +67,15 @@ func (e *Engine) PrepareWaves(root plan.Node, seed uint64) (*WaveExec, error) {
 		alias = c.scan.Alias
 	}
 	return &WaveExec{
-		e:     e,
-		in:    in,
-		spans: ops.Partitions(in.Len(), e.partSize),
-		smp:   smp,
-		preds: preds,
-		proj:  proj,
-		zp:    zp,
-		alias: alias,
+		e:        e,
+		in:       in,
+		spans:    ops.Partitions(in.Len(), e.partSize),
+		smp:      smp,
+		preds:    preds,
+		proj:     proj,
+		zp:       zp,
+		alias:    alias,
+		distinct: plan.DistinctLineage(root),
 	}, nil
 }
 
@@ -98,6 +101,12 @@ func (w *WaveExec) RowsThrough(p int) int {
 // plan alias, or the relation name) — the relation a progressive
 // estimator's prefix model applies to.
 func (w *WaveExec) Alias() string { return w.alias }
+
+// DistinctLineage reports whether every wave row carries its own lineage
+// ID — a single scan with no SYSTEM (block) sampler — so a progressive
+// estimator may skip lineage grouping, exactly as the one-shot query over
+// the same plan does.
+func (w *WaveExec) DistinctLineage() bool { return w.distinct }
 
 // OutSchema is the column schema every non-empty wave batch carries
 // (empty waves fall back to pipe's float-default schema and hold no

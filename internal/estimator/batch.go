@@ -107,12 +107,8 @@ func sumFBatch(b *batch.Batch, f expr.Expr, opts Options) ([]float64, error) {
 		if err != nil {
 			return fmt.Errorf("estimator: aggregate: %w", err)
 		}
-		for k := 0; k < span.Hi-span.Lo; k++ {
-			fv, err := v.FloatAt(k)
-			if err != nil {
-				return fmt.Errorf("estimator: aggregate: %w", err)
-			}
-			fs[span.Lo+k] = fv
+		if err := v.FloatsInto(fs[span.Lo:span.Hi]); err != nil {
+			return fmt.Errorf("estimator: aggregate: %w", err)
 		}
 		return nil
 	})

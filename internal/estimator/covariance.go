@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -38,16 +39,10 @@ func Covariance(g *core.Params, lins []lineage.Vector, fs, gs []float64) (float6
 	if len(lins) != len(fs) {
 		return 0, fmt.Errorf("estimator: %d lineage vectors for %d aggregate values", len(lins), len(fs))
 	}
-	return covarianceSrc(g, vecLins(lins), fs, gs, Options{})
-}
-
-// covarianceSrc is Covariance over any lineage storage, with accumulator
-// options (Workers enables the partition-sharded bilinear moments).
-func covarianceSrc(g *core.Params, src linSource, fs, gs []float64, opts Options) (float64, error) {
 	if g.A() == 0 {
 		return 0, fmt.Errorf("estimator: null GUS (a=0) has no covariance")
 	}
-	y, err := bilinearFor(g.N(), src, fs, gs, opts)
+	y, err := BilinearMoments(g.N(), lins, fs, gs)
 	if err != nil {
 		return 0, err
 	}
@@ -64,6 +59,8 @@ type RatioResult struct {
 	Estimate float64
 	// Variance is the first-order delta-method variance (clamped at 0).
 	Variance float64
+	// Clamped reports whether the raw delta-method variance was negative.
+	Clamped bool
 	// Num and Den are the component SUM results.
 	Num, Den *Result
 	// Cov is the estimated covariance of the two SUM estimators.
@@ -114,10 +111,22 @@ func ratioSrc(g *core.Params, src linSource, nfs, dfs []float64, opts Options) (
 	if err != nil {
 		return nil, err
 	}
+	return deltaRatio(g, nRes, dRes, bilinearFor(g.N(), src, nfs, dfs, opts))
+}
+
+var errZeroDenominator = errors.New("estimator: ratio with (estimated) zero denominator")
+
+// deltaRatio combines the component SUM results and their cross moments
+// Y_S(num,den) into the delta-method ratio.
+func deltaRatio(g *core.Params, nRes, dRes *Result, yND []float64) (*RatioResult, error) {
 	if dRes.Estimate == 0 {
-		return nil, fmt.Errorf("estimator: ratio with (estimated) zero denominator")
+		return nil, errZeroDenominator
 	}
-	cov, err := covarianceSrc(g, src, nfs, dfs, opts)
+	yhat, err := UnbiasedY(g, yND)
+	if err != nil {
+		return nil, err
+	}
+	cov, err := g.Variance(yhat)
 	if err != nil {
 		return nil, err
 	}
@@ -130,6 +139,7 @@ func ratioSrc(g *core.Params, src linSource, nfs, dfs []float64, opts Options) (
 	return &RatioResult{
 		Estimate: n / d,
 		Variance: v,
+		Clamped:  raw < 0,
 		Num:      nRes,
 		Den:      dRes,
 		Cov:      cov,

@@ -237,14 +237,38 @@ func fromSource(g *core.Params, src linSource, fs []float64, opts Options) (*Res
 	res.Subsampled = sub
 	res.VarianceRows = len(varFs)
 
-	res.Y = momentsFor(varG.Schema().Len(), varSrc, varFs, opts)
-	res.YHat, err = UnbiasedY(varG, res.Y)
-	if err != nil {
+	n := varG.Schema().Len()
+	var groups int
+	var s2, s4 float64
+	if opts.Workers <= 0 {
+		res.Y = momentsSerial(n, varSrc, varFs, nil)
+		if opts.Diagnostics {
+			groups, s2, s4 = diagnoseSource(n, varSrc, varFs)
+		}
+	} else {
+		res.Y, groups, s2, s4 = shardedMoments(n, varSrc, varFs, opts)
+	}
+	if err := res.price(g, varG); err != nil {
 		return nil, err
 	}
-	raw, err := g.Variance(res.YHat)
+	if opts.Diagnostics {
+		res.Diag = newDiagnostics(groups, s2, s4, false, sub, res.Clamped)
+	}
+	return res, nil
+}
+
+// price completes res from its raw moments res.Y: the §6.3 unbiased Ŷ_S
+// under varG, the GUS that generated the rows the moments came from, and
+// the Theorem-1 variance under g, clamped at zero.
+func (res *Result) price(g, varG *core.Params) error {
+	yhat, err := UnbiasedY(varG, res.Y)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	res.YHat = yhat
+	raw, err := g.Variance(yhat)
+	if err != nil {
+		return err
 	}
 	res.RawVariance = raw
 	res.Variance = raw
@@ -252,11 +276,7 @@ func fromSource(g *core.Params, src linSource, fs []float64, opts Options) (*Res
 		res.Variance = 0
 		res.Clamped = true
 	}
-	if opts.Diagnostics {
-		groups, s2, s4 := diagnoseSource(varG.Schema().Len(), varSrc, varFs)
-		res.Diag = newDiagnostics(groups, s2, s4, false, sub, res.Clamped)
-	}
-	return res, nil
+	return nil
 }
 
 // maybeSubsample applies §7 lineage-hash sub-sampling when the sample

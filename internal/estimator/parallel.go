@@ -1,24 +1,19 @@
-// Partition-sharded accumulation of the Theorem-1 sums. The SBox needs
-// three row-scale passes: evaluating f over the sample (Σf and the
-// per-row values), the Y_S group-by-lineage moments (§6.3), and their
-// bilinear generalization. Each pass here splits the rows into fixed-size
-// partitions (ops.Partitions), accumulates a private shard per partition
-// on the worker pool, and merges shards in partition index order.
-//
-// Determinism: partition boundaries and merge order depend only on the
-// data and the partition size — never on the worker count — so every
-// positive Workers value produces bit-identical floats. Group totals are
-// additionally enumerated in first-seen order (by partition, then by row)
-// rather than by Go map iteration, removing the run-to-run jitter the
-// serial map-based paths have.
+// One-shot accumulation of the Theorem-1 sums. The SBox evaluates f over
+// the sample (Σf and the per-row values) and then the Y_S group-by-
+// lineage moments (§6.3) or their bilinear generalization. With Workers >
+// 0 each pass splits the rows into fixed-size partitions (ops.Partitions)
+// worked on the pool and combined in partition order; the moments come
+// from the shared moment state (moments.go) fed every partition as one
+// wave. Partition boundaries and merge order depend only on the data and
+// the partition size, so every positive Workers value produces
+// bit-identical floats. Workers ≤ 0 keeps the serial string-keyed
+// momentsSerial, which doubles as the tests' reference oracle.
 package estimator
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/sampling-algebra/gus/internal/expr"
-	"github.com/sampling-algebra/gus/internal/hashtab"
 	"github.com/sampling-algebra/gus/internal/lineage"
 	"github.com/sampling-algebra/gus/internal/ops"
 )
@@ -104,253 +99,19 @@ func totalOf(fs []float64, opts Options) float64 {
 	return t
 }
 
-// groupShard is one partition's private group-by-lineage accumulator:
-// sums keyed by projected lineage, with keys remembered in first-seen
-// order so the merge is deterministic. The key type is whatever compact
-// encoding is injective for the mask at hand (see keyedMoment) — only
-// group identity and first-seen order matter, both invariant under the
-// encoding, so every encoding yields bit-identical sums.
-type groupShard[K comparable] struct {
-	keys []K
-	fsum map[K]float64
-	gsum map[K]float64 // nil for plain (f·f) moments
+// momentsSharded computes the §6.3 Y_S moments — the bilinear cross
+// moments Y_S(f,g) with gs non-nil (see BilinearMoments) — as the moment
+// state fed every partition at once. The caller releases the state.
+func momentsSharded(n int, src linSource, fs, gs []float64, opts Options) *momentState {
+	st := newMomentState(n, gs != nil, opts)
+	st.foldSpans(src, fs, gs, opts)
+	return st
 }
 
-// shardFor builds partition p's shard, keying row i by key(i). Maps are
-// pre-sized for the worst case (every row its own group — the norm for
-// single-relation samples, whose lineage is unique per row).
-func shardFor[K comparable](span ops.Span, key func(i int) K, fs, gs []float64) groupShard[K] {
-	sh := groupShard[K]{fsum: make(map[K]float64, span.Hi-span.Lo)}
-	if gs != nil {
-		sh.gsum = make(map[K]float64, span.Hi-span.Lo)
-	}
-	for i := span.Lo; i < span.Hi; i++ {
-		k := key(i)
-		if _, seen := sh.fsum[k]; !seen {
-			sh.keys = append(sh.keys, k)
-		}
-		sh.fsum[k] += fs[i]
-		if gs != nil {
-			sh.gsum[k] += gs[i]
-		}
-	}
-	return sh
-}
-
-// mergeShards combines per-partition shards in partition order and
-// returns Σ_groups (Σf)(Σg) — with bilinear false, Σ_groups (Σf)². Group
-// totals are accumulated and squared in first-seen order.
-func mergeShards[K comparable](shards []groupShard[K], bilinear bool) float64 {
-	var total int
-	for _, sh := range shards {
-		total += len(sh.keys)
-	}
-	slot := make(map[K]int, total)
-	fTot := make([]float64, 0, total)
-	var gTot []float64
-	if bilinear {
-		gTot = make([]float64, 0, total)
-	}
-	for _, sh := range shards {
-		for _, k := range sh.keys {
-			s, ok := slot[k]
-			if !ok {
-				s = len(fTot)
-				slot[k] = s
-				fTot = append(fTot, 0)
-				if bilinear {
-					gTot = append(gTot, 0)
-				}
-			}
-			fTot[s] += sh.fsum[k]
-			if bilinear {
-				gTot[s] += sh.gsum[k]
-			}
-		}
-	}
-	var acc float64
-	for s, f := range fTot {
-		if bilinear {
-			acc += f * gTot[s]
-		} else {
-			acc += f * f
-		}
-	}
-	return acc
-}
-
-// linMomentSeed decorrelates moment-group hashes from other key domains.
-const linMomentSeed = 0x94d049bb133111eb
-
-// rowHash returns the canonical hash of row i's lineage projected onto
-// slots: per-slot ID hashes combined in ascending slot order. Group
-// identity is decided by rowEqual's full ID compare, never by the hash.
-func rowHash(src linSource, slots []int, i int) uint64 {
-	h := uint64(linMomentSeed)
-	for _, s := range slots {
-		h = hashtab.Combine(h, hashtab.Mix(uint64(src.id(i, s))))
-	}
-	return h
-}
-
-// rowEqual reports whether rows i and j project identically onto slots.
-func rowEqual(src linSource, slots []int, i, j int) bool {
-	for _, s := range slots {
-		if src.id(i, s) != src.id(j, s) {
-			return false
-		}
-	}
-	return true
-}
-
-// grouperPool recycles the open-addressing tables behind shard building,
-// so per-mask, per-partition accumulation reuses buffers.
-var grouperPool = sync.Pool{New: func() any { return &hashtab.Grouper{} }}
-
-// hashShard is one partition's group accumulator for one mask: group
-// representatives (first row of each group, global index) in first-seen
-// order with the group's value sums. It replaces the map-keyed groupShard
-// on the sharded path — same groups, same first-seen order, same float
-// accumulation order, so the moments are bit-identical; the keys are just
-// never materialized.
-type hashShard struct {
-	rows   []int32
-	hashes []uint64
-	fsum   []float64
-	gsum   []float64 // nil for plain (f·f) moments
-}
-
-// hashShardFor builds partition span's shard for the mask's slot list.
-func hashShardFor(span ops.Span, src linSource, slots []int, fs, gs []float64) hashShard {
-	g := grouperPool.Get().(*hashtab.Grouper)
-	g.Reset(span.Hi - span.Lo)
-	sh := hashShard{}
-	cand := span.Lo
-	eq := func(id int32) bool { return rowEqual(src, slots, cand, int(sh.rows[id])) }
-	for i := span.Lo; i < span.Hi; i++ {
-		cand = i
-		h := rowHash(src, slots, i)
-		id, fresh := g.Get(h, eq)
-		if fresh {
-			sh.rows = append(sh.rows, int32(i))
-			sh.hashes = append(sh.hashes, h)
-			sh.fsum = append(sh.fsum, 0)
-			if gs != nil {
-				sh.gsum = append(sh.gsum, 0)
-			}
-		}
-		sh.fsum[id] += fs[i]
-		if gs != nil {
-			sh.gsum[id] += gs[i]
-		}
-	}
-	grouperPool.Put(g)
-	return sh
-}
-
-// mergeHashShards combines per-partition shards in partition order and
-// returns Σ_groups (Σf)(Σg) — with bilinear false, Σ_groups (Σf)². Group
-// totals accumulate and combine in first-seen order, matching mergeShards.
-func mergeHashShards(shards []hashShard, src linSource, slots []int, bilinear bool) float64 {
-	var total int
-	for _, sh := range shards {
-		total += len(sh.rows)
-	}
-	g := grouperPool.Get().(*hashtab.Grouper)
-	g.Reset(total)
-	reps := make([]int32, 0, total)
-	fTot := make([]float64, 0, total)
-	var gTot []float64
-	if bilinear {
-		gTot = make([]float64, 0, total)
-	}
-	var cand int
-	eq := func(id int32) bool { return rowEqual(src, slots, cand, int(reps[id])) }
-	for _, sh := range shards {
-		for k, rep := range sh.rows {
-			cand = int(rep)
-			id, fresh := g.Get(sh.hashes[k], eq)
-			if fresh {
-				reps = append(reps, rep)
-				fTot = append(fTot, 0)
-				if bilinear {
-					gTot = append(gTot, 0)
-				}
-			}
-			fTot[id] += sh.fsum[k]
-			if bilinear {
-				gTot[id] += sh.gsum[k]
-			}
-		}
-	}
-	grouperPool.Put(g)
-	var acc float64
-	for s, f := range fTot {
-		if bilinear {
-			acc += f * gTot[s]
-		} else {
-			acc += f * f
-		}
-	}
-	return acc
-}
-
-// momentsSharded computes the §6.3 Y_S moments with partition-sharded
-// accumulators. With gs non-nil it computes the bilinear cross moments
-// Y_S(f,g) instead (see BilinearMoments). Every mask groups on an
-// open-addressing table keyed by projected-lineage hashes with full ID
-// compare — no encoded key strings, no per-row map traffic — and the
-// groups, their first-seen order and every accumulation order match the
-// historical map-keyed implementation, so the floats are bit-identical.
-func momentsSharded(n int, src linSource, fs, gs []float64, opts Options) []float64 {
-	out := make([]float64, 1<<uint(n))
-	totF := totalOf(fs, opts)
-	if gs != nil {
-		out[0] = totF * totalOf(gs, opts)
-	} else {
-		out[0] = totF * totF
-	}
-	if n == 1 && opts.DistinctLineage {
-		out[1] = distinctMoment(fs, gs)
-		return out
-	}
-	spans := ops.Partitions(len(fs), opts.partitionSize())
-	for m := 1; m < len(out); m++ {
-		slots := lineage.Set(m).Members()
-		shards := make([]hashShard, len(spans))
-		//gus:ctx-ok pure CPU shard over a materialized sample, below cancellation granularity
-		_ = ops.ForEachPart(opts.Workers, len(spans), func(p int) error {
-			shards[p] = hashShardFor(spans[p], src, slots, fs, gs)
-			return nil
-		})
-		out[m] = mergeHashShards(shards, src, slots, gs != nil)
-	}
-	return out
-}
-
-// distinctMoment is the single-slot Y_{1} under the DistinctLineage
-// hint: every group is a singleton, so the group-square sum is Σ f_i²
-// (Σ f_i·g_i bilinear) accumulated in row order — exactly the float
-// sequence the hash-grouped paths produce for singleton groups, so the
-// result is bit-identical to theirs.
-func distinctMoment(fs, gs []float64) float64 {
-	var acc float64
-	if gs != nil {
-		for i, f := range fs {
-			acc += f * gs[i]
-		}
-		return acc
-	}
-	for _, f := range fs {
-		acc += f * f
-	}
-	return acc
-}
-
-// momentsSerial is the Workers≤0 path: a single pass per mask with group
-// totals accumulated and combined in first-seen order — deterministic,
-// unlike the historical map-iteration sum (which gave run-to-run float
-// jitter; no caller may rely on randomness, so fixing the order is safe).
+// momentsSerial is the Workers ≤ 0 path and the reference oracle: one
+// pass per mask grouping rows by their string-encoded lineage
+// projection, with group totals accumulated and combined in first-seen
+// order.
 func momentsSerial(n int, src linSource, fs, gs []float64) []float64 {
 	out := make([]float64, 1<<uint(n))
 	var totF, totG float64
@@ -365,58 +126,54 @@ func momentsSerial(n int, src linSource, fs, gs []float64) []float64 {
 	} else {
 		out[0] = totF * totF
 	}
-	span := ops.Span{Lo: 0, Hi: len(fs)}
 	for m := 1; m < len(out); m++ {
 		set := lineage.Set(m)
-		sh := shardFor(span, func(i int) string { return src.projectKey(i, set) }, fs, gs)
-		out[m] = mergeShards([]groupShard[string]{sh}, gs != nil)
+		//gus:stringmap-ok reference oracle for the hash-grouped moment state; keys are composite lineage projections
+		idx := make(map[string]int, len(fs))
+		var fTot, gTot []float64
+		for i, f := range fs {
+			k := src.projectKey(i, set)
+			j, ok := idx[k]
+			if !ok {
+				j = len(fTot)
+				idx[k] = j
+				fTot = append(fTot, 0)
+				gTot = append(gTot, 0)
+			}
+			fTot[j] += f
+			if gs != nil {
+				gTot[j] += gs[i]
+			}
+		}
+		var acc float64
+		for j, f := range fTot {
+			if gs != nil {
+				acc += f * gTot[j]
+			} else {
+				acc += f * f
+			}
+		}
+		out[m] = acc
 	}
 	return out
 }
 
-// momentsFor dispatches between the serial and sharded accumulators.
-func momentsFor(n int, src linSource, fs []float64, opts Options) []float64 {
+// bilinearFor computes the bilinear moments Y_S(f,g) serially or sharded.
+func bilinearFor(n int, src linSource, fs, gs []float64, opts Options) []float64 {
 	if opts.Workers <= 0 {
-		if n == 1 && opts.DistinctLineage {
-			return distinctSerial(fs, nil)
-		}
-		return momentsSerial(n, src, fs, nil)
+		return momentsSerial(n, src, fs, gs)
 	}
-	return momentsSharded(n, src, fs, nil, opts)
+	st := momentsSharded(n, src, fs, gs, opts)
+	defer st.release()
+	return momentVector(pairFG, st.totF, st.totG, st.exactSums())
 }
 
-// distinctSerial is momentsSerial's n == 1 shape under the
-// DistinctLineage hint: the serial row-order totals for Y_∅ and the
-// singleton-group square sum for Y_{1}.
-func distinctSerial(fs, gs []float64) []float64 {
-	out := make([]float64, 2)
-	var totF, totG float64
-	for i, v := range fs {
-		totF += v
-		if gs != nil {
-			totG += gs[i]
-		}
-	}
-	if gs != nil {
-		out[0] = totF * totG
-	} else {
-		out[0] = totF * totF
-	}
-	out[1] = distinctMoment(fs, gs)
-	return out
-}
-
-// bilinearFor dispatches between the serial and sharded bilinear
-// accumulators.
-func bilinearFor(n int, src linSource, fs, gs []float64, opts Options) ([]float64, error) {
-	if len(fs) != len(gs) {
-		return nil, fmt.Errorf("estimator: bilinear moments need equal-length inputs (%d,%d)", len(fs), len(gs))
-	}
-	if opts.Workers <= 0 {
-		if n == 1 && opts.DistinctLineage {
-			return distinctSerial(fs, gs), nil
-		}
-		return momentsSerial(n, src, fs, gs), nil
-	}
-	return momentsSharded(n, src, fs, gs, opts), nil
+// shardedMoments returns the sharded Y_S(f,f) and the full-mask group
+// statistics (group count, Σt², Σt⁴) the reliability diagnostics read.
+func shardedMoments(n int, src linSource, fs []float64, opts Options) (y []float64, groups int, sum2, sum4 float64) {
+	st := momentsSharded(n, src, fs, nil, opts)
+	defer st.release()
+	sums := st.exactSums()
+	top := sums[len(sums)-1]
+	return momentVector(pairFF, st.totF, 0, sums), st.topGroups(), top.ff, top.f4
 }

@@ -1,22 +1,15 @@
-// Incremental Theorem-1 accumulation for online aggregation. An Accum
-// folds ordered sample chunks — one per partition wave — into persistent
-// moment state: per-mask group-by-lineage maps whose group totals, slot
-// order and span-wise accumulation order replicate the partition-sharded
-// batch path (parallel.go) float for float. Two read modes:
+// Online aggregation's view of the moment state (moments.go): an Accum
+// is a momentState fed one wave at a time. Rows regroup into the same
+// fixed-size spans the one-shot path partitions the sample into; a
+// completed span's shard merges into the per-mask groups exactly as the
+// one-shot merge does, so Finalize is bit-identical to one-shot
+// Estimate/EstimateBatch over the same sample with the same span size.
 //
-//   - Moments() — a live snapshot including the not-yet-complete tail
-//     span, with the Σ_groups(Σf)² sums maintained INCREMENTALLY (each
-//     fold adjusts a running sum by the changed groups only), so a wave
-//     costs O(Δ + groups touched), not O(rows so far);
-//   - Finalize() — folds the tail and recomputes every moment in slot
-//     order, exactly the order mergeShards uses, so an Accum fed the full
-//     sample in any chunking yields BIT-IDENTICAL moments (and hence
-//     estimate and variance) to one-shot Estimate/EstimateBatch with the
-//     same partition size.
-//
-// The incremental running sums trade last-bit float agreement for O(Δ)
-// updates — fine for intermediate confidence intervals, which is why
-// Finalize recomputes rather than trusting them.
+// Between waves, Moments() reads the running sums plus the incomplete
+// span's contribution. With distinct lineage that reading is exact; with
+// grouped lineage the running sums are adjusted group by group and may
+// differ from a fresh recompute in the last bits, which is why Finalize
+// recomputes them.
 package estimator
 
 import (
@@ -25,427 +18,243 @@ import (
 	"github.com/sampling-algebra/gus/internal/core"
 	"github.com/sampling-algebra/gus/internal/hashtab"
 	"github.com/sampling-algebra/gus/internal/lineage"
-	"github.com/sampling-algebra/gus/internal/ops"
 )
 
-// Accum incrementally accumulates the §6.3 Y_S moments (and, in bilinear
-// mode, the cross moments Y_S(f,g) behind covariance/AVG) over sample
-// rows delivered in chunks. Chunk boundaries are arbitrary; internally
-// rows regroup into fixed partitionSize spans matching Options'
-// partition-sharded accumulators.
+// Accum incrementally accumulates the §6.3 Y_S moments over sample rows
+// delivered in chunks of any size. In bilinear mode it carries two value
+// streams f and g — the numerator and denominator of a ratio — and keeps
+// Y_S(f,f), Y_S(g,g) and the cross moments Y_S(f,g) from one grouping.
 type Accum struct {
-	n        int
-	partSize int
-	bilinear bool
-	rows     int
-	final    bool
+	st    *momentState
+	final bool
 
-	// tail holds rows of the not-yet-complete span.
-	tailFs  []float64
-	tailGs  []float64
-	tailLin [][]lineage.TupleID
+	// Grouped mode only: the incomplete span's rows and, per mask, their
+	// shard, extended as rows arrive and merged when the span completes.
+	tailF, tailG []float64
+	tailLin      [][]lineage.TupleID
+	tails        []tailShard
 
-	// totF/totG accumulate completed-span partial sums in span order —
-	// the running counterpart of totalOf.
+	// view caches the current reading until the next Add.
+	view *reading
+}
+
+// tailShard is the incomplete span's shard for one mask.
+type tailShard struct {
+	hashShard
+	g hashtab.Grouper
+	// base holds each shard group's merged group (-1: none yet), resolved
+	// once per shard group; merged groups change only when the span does.
+	base []int32
+}
+
+// reading is the moment state as of the last Add: live, or exact once
+// finalized.
+type reading struct {
 	totF, totG float64
-
-	masks []*maskAccum // index = lineage mask; slot 0 unused (Y_∅ = totals)
+	sums       []groupSums // per mask
+	groups     int         // full-mask groups
 }
 
 // NewAccum returns an accumulator for samples with n lineage slots.
-// bilinear selects cross-moment mode (two value streams f and g);
-// partitionSize ≤ 0 selects ops.DefaultPartitionSize and must match the
-// Options.PartitionSize of any one-shot run it is compared against.
+// bilinear selects two-stream mode (f and g); partitionSize ≤ 0 selects
+// ops.DefaultPartitionSize and must match the Options.PartitionSize of
+// any one-shot run it is compared against.
 func NewAccum(n int, bilinear bool, partitionSize int) *Accum {
-	if partitionSize <= 0 {
-		partitionSize = ops.DefaultPartitionSize
-	}
-	a := &Accum{
-		n:        n,
-		partSize: partitionSize,
-		bilinear: bilinear,
-		tailLin:  make([][]lineage.TupleID, n),
-		masks:    make([]*maskAccum, 1<<uint(n)),
-	}
-	for m := 1; m < len(a.masks); m++ {
-		a.masks[m] = newMaskAccum(lineage.Set(m), bilinear)
+	return NewAccumWith(n, bilinear, Options{PartitionSize: partitionSize})
+}
+
+// NewAccumWith is NewAccum reading the span size and the DistinctLineage
+// hint from opts, the way the one-shot estimator does.
+func NewAccumWith(n int, bilinear bool, opts Options) *Accum {
+	a := &Accum{st: newMomentState(n, bilinear, opts)}
+	if !a.st.distinct {
+		a.tailLin = make([][]lineage.TupleID, n)
+		a.tails = make([]tailShard, len(a.st.masks))
+		for m := 1; m < len(a.tails); m++ {
+			a.st.masks[m].stream(n)
+			a.tails[m].g.Reset(a.st.partSize)
+		}
 	}
 	return a
 }
 
 // Rows reports how many sample rows have been added.
-func (a *Accum) Rows() int { return a.rows }
+func (a *Accum) Rows() int { return a.st.rows }
 
 // Add appends one chunk of sample rows: per-row aggregate values fs (and
 // gs in bilinear mode; nil otherwise) with per-slot lineage columns lin.
-// Rows must arrive in sample order.
+// Rows must arrive in sample order. The accumulator keeps no reference to
+// the arguments.
 func (a *Accum) Add(fs, gs []float64, lin [][]lineage.TupleID) error {
 	if a.final {
 		return fmt.Errorf("estimator: Add after Finalize")
 	}
-	if a.bilinear != (gs != nil) {
+	if a.st.bilinear != (gs != nil) {
 		return fmt.Errorf("estimator: bilinear accumulator mismatch (gs nil: %v)", gs == nil)
 	}
 	if gs != nil && len(gs) != len(fs) {
 		return fmt.Errorf("estimator: %d g-values for %d f-values", len(gs), len(fs))
 	}
-	if len(lin) != a.n {
-		return fmt.Errorf("estimator: %d lineage columns for %d slots", len(lin), a.n)
+	if len(lin) != a.st.n {
+		return fmt.Errorf("estimator: %d lineage columns for %d slots", len(lin), a.st.n)
 	}
 	for s, l := range lin {
 		if len(l) != len(fs) {
 			return fmt.Errorf("estimator: lineage slot %d has %d rows, want %d", s, len(l), len(fs))
 		}
 	}
-	a.tailFs = append(a.tailFs, fs...)
-	if gs != nil {
-		a.tailGs = append(a.tailGs, gs...)
+	a.view = nil
+	st := a.st
+	for lo := 0; lo < len(fs); {
+		hi := lo + min(st.partSize-st.spanRows, len(fs)-lo)
+		var g []float64
+		if gs != nil {
+			g = gs[lo:hi]
+		}
+		if st.distinct {
+			st.addDistinct(fs[lo:hi], g)
+		} else {
+			a.extendTail(fs[lo:hi], g, lin, lo, hi)
+		}
+		if st.spanRows == st.partSize {
+			a.mergeTail()
+			st.closeSpan()
+		}
+		lo = hi
 	}
-	for s := range lin {
-		a.tailLin[s] = append(a.tailLin[s], lin[s]...)
-	}
-	a.rows += len(fs)
-	a.drain()
 	return nil
 }
 
-// drain folds every complete span sitting in the tail, advancing a
-// cursor and compacting the buffers ONCE at the end — O(total) per call,
-// however many spans a large chunk completes.
-func (a *Accum) drain() {
-	off := 0
-	for len(a.tailFs)-off >= a.partSize {
-		a.foldAt(off, a.partSize)
-		off += a.partSize
+// extendTail appends rows [lo, hi) of a chunk (values fs, gs) to the
+// incomplete span and its shards.
+func (a *Accum) extendTail(fs, gs []float64, lin [][]lineage.TupleID, lo, hi int) {
+	from := len(a.tailF)
+	a.tailF = append(a.tailF, fs...)
+	a.tailG = append(a.tailG, gs...)
+	for s := range lin {
+		a.tailLin[s] = append(a.tailLin[s], lin[s][lo:hi]...)
 	}
-	a.discard(off)
-}
-
-// foldAt permanently folds tail rows [off, off+size) as one span.
-func (a *Accum) foldAt(off, size int) {
-	ch := chunk{fs: a.tailFs[off : off+size], lin: make([][]lineage.TupleID, a.n)}
-	if a.bilinear {
-		ch.gs = a.tailGs[off : off+size]
-	}
-	for s := range ch.lin {
-		ch.lin[s] = a.tailLin[s][off : off+size]
-	}
-	var sf float64
-	for _, v := range ch.fs {
-		sf += v
-	}
-	a.totF += sf
-	if a.bilinear {
-		var sg float64
-		for _, v := range ch.gs {
-			sg += v
-		}
-		a.totG += sg
-	}
-	for m := 1; m < len(a.masks); m++ {
-		a.masks[m].fold(&ch)
+	a.st.addSpanTotals(fs, gs)
+	src := colLins(a.tailLin)
+	for m := 1; m < len(a.tails); m++ {
+		t := &a.tails[m]
+		t.extend(&t.g, src, a.st.masks[m].slots, a.tailF, a.tailG, from, len(a.tailF))
 	}
 }
 
-// discard drops the first off folded tail rows, moving the remainder to
-// the front of the (reused) buffers.
-func (a *Accum) discard(off int) {
-	if off == 0 {
+// mergeTail merges the incomplete span's shards into the groups and
+// empties it.
+func (a *Accum) mergeTail() {
+	if a.st.distinct {
 		return
 	}
-	a.tailFs = append(a.tailFs[:0], a.tailFs[off:]...)
-	if a.bilinear {
-		a.tailGs = append(a.tailGs[:0], a.tailGs[off:]...)
+	src := colLins(a.tailLin)
+	for m := 1; m < len(a.tails); m++ {
+		t := &a.tails[m]
+		a.st.masks[m].merge(&t.hashShard, src)
+		t.reset()
+		t.g.Reset(a.st.partSize)
+		t.base = t.base[:0]
 	}
+	a.tailF, a.tailG = a.tailF[:0], a.tailG[:0]
 	for s := range a.tailLin {
-		a.tailLin[s] = append(a.tailLin[s][:0], a.tailLin[s][off:]...)
+		a.tailLin[s] = a.tailLin[s][:0]
 	}
 }
 
-// tailChunk views the current tail as a chunk (nil when empty).
-func (a *Accum) tailChunk() *chunk {
-	if len(a.tailFs) == 0 {
-		return nil
+// live returns the mask's running sums with the incomplete span's shard
+// applied, and how many of its groups are not merged yet.
+func (t *tailShard) live(ms *maskState, src linSource) (groupSums, int) {
+	for j := len(t.base); j < len(t.rows); j++ {
+		t.base = append(t.base, ms.find(t.hashes[j], src, int(t.rows[j])))
 	}
-	ch := &chunk{fs: a.tailFs, lin: a.tailLin}
-	if a.bilinear {
-		ch.gs = a.tailGs
+	s, fresh := ms.run, 0
+	for j, b := range t.base {
+		f0, g0 := ms.totals(b)
+		g1 := g0
+		if ms.bilinear {
+			g1 += t.gsum[j]
+		}
+		s.move(f0, f0+t.fsum[j], g0, g1)
+		if b < 0 {
+			fresh++
+		}
 	}
-	return ch
+	return s, fresh
 }
 
-// Total returns the live Σf including the tail.
-func (a *Accum) Total() float64 { return a.totF + tailSum(a.tailFs) }
+// reading returns the current reading, computing it at most once per Add.
+func (a *Accum) reading() *reading {
+	if a.view != nil {
+		return a.view
+	}
+	st := a.st
+	r := &reading{totF: a.Total(), totG: a.TotalG()}
+	if st.distinct {
+		r.sums, r.groups = []groupSums{{}, st.run}, st.rows
+	} else {
+		r.sums = make([]groupSums, len(st.masks))
+		src := colLins(a.tailLin)
+		for m := 1; m < len(st.masks); m++ {
+			var fresh int
+			r.sums[m], fresh = a.tails[m].live(st.masks[m], src)
+			r.groups = len(st.masks[m].fTot) + fresh
+		}
+	}
+	a.view = r
+	return r
+}
+
+// Total returns the live Σf.
+func (a *Accum) Total() float64 { return a.st.totF + a.st.spanF }
 
 // TotalG returns the live Σg (bilinear mode).
-func (a *Accum) TotalG() float64 { return a.totG + tailSum(a.tailGs) }
+func (a *Accum) TotalG() float64 { return a.st.totG + a.st.spanG }
 
-func tailSum(vs []float64) float64 {
-	var s float64
-	for _, v := range vs {
-		s += v
+// Moments returns the Y_S moments of everything added so far — Y_S(f,f),
+// or the cross moments Y_S(f,g) in bilinear mode: a live snapshot (see
+// the file comment), or the exact moments once finalized.
+func (a *Accum) Moments() []float64 {
+	p := pairFF
+	if a.st.bilinear {
+		p = pairFG
 	}
-	return s
+	r := a.reading()
+	return momentVector(p, r.totF, r.totG, r.sums)
 }
 
-// Moments returns a live snapshot of the Y_S moments including the tail,
-// via the incremental running sums — O(Δ) per wave, last-bit float drift
-// possible relative to a fresh recompute.
-func (a *Accum) Moments() []float64 {
-	out := make([]float64, 1<<uint(a.n))
-	tf := a.Total()
-	if a.bilinear {
-		out[0] = tf * a.TotalG()
-	} else {
-		out[0] = tf * tf
-	}
-	ch := a.tailChunk()
-	for m := 1; m < len(out); m++ {
-		out[m] = a.masks[m].live(ch)
-	}
-	return out
+// RatioMoments returns a bilinear accumulator's Y_S(f,f), Y_S(g,g) and
+// Y_S(f,g) — the numerator, denominator and cross moments of the ratio
+// f/g — read like Moments.
+func (a *Accum) RatioMoments() (yNN, yDD, yND []float64) {
+	r := a.reading()
+	return momentVector(pairFF, r.totF, r.totG, r.sums),
+		momentVector(pairGG, r.totF, r.totG, r.sums),
+		momentVector(pairFG, r.totF, r.totG, r.sums)
 }
 
 // TopDiagnostics returns the full-mask group statistics (group count,
-// Σt², Σt⁴) over everything added so far, including the unfolded tail —
-// the streaming counterpart of diagnoseSource. Persistent group state is
-// untouched (only the reusable shard scratch is written), so calling it
-// never changes subsequent Moments/Finalize floats.
+// Σt², Σt⁴ over the f totals) of everything added so far — the streaming
+// counterpart of the one-shot diagnostics, read from the same state as
+// Moments and exact once finalized.
 func (a *Accum) TopDiagnostics() (groups int, sum2, sum4 float64) {
-	ms := a.masks[len(a.masks)-1]
-	ch := a.tailChunk()
-	var delta map[int32]float64
-	var fresh []float64
-	if ch != nil {
-		ng := ms.buildShard(ch)
-		rep := 0
-		eq := func(id int32) bool { return ms.keyEqualRow(id, ch.lin, rep) }
-		delta = make(map[int32]float64, ng)
-		for j := 0; j < ng; j++ {
-			rep = int(ms.shardRows[j])
-			if s := ms.g.Find(ms.shardHash[j], eq); s >= 0 {
-				delta[s] += ms.shardF[j]
-			} else {
-				fresh = append(fresh, ms.shardF[j])
-			}
-		}
-	}
-	for s, f := range ms.fTot {
-		t := f + delta[int32(s)]
-		t2 := t * t
-		sum2 += t2
-		sum4 += t2 * t2
-	}
-	for _, t := range fresh {
-		t2 := t * t
-		sum2 += t2
-		sum4 += t2 * t2
-	}
-	return len(ms.fTot) + len(fresh), sum2, sum4
+	r := a.reading()
+	s := r.sums[len(r.sums)-1]
+	return r.groups, s.ff, s.f4
 }
 
-// Finalize folds the remaining tail and returns the exact moments,
-// recomputed in slot order: bit-identical to momentsSharded (or
-// BilinearMoments with Workers > 0) over the whole sample. The
-// accumulator is sealed afterwards.
+// Finalize closes the incomplete span and returns the exact moments (as
+// Moments would after it): bit-identical to the one-shot estimator's with
+// Workers > 0 over the whole sample. The accumulator is sealed afterwards.
 func (a *Accum) Finalize() []float64 {
 	if !a.final {
-		a.drain()
-		if len(a.tailFs) > 0 {
-			a.foldAt(0, len(a.tailFs))
-			a.discard(len(a.tailFs))
-		}
+		a.mergeTail()
+		a.st.closeSpan()
+		a.view = &reading{totF: a.st.totF, totG: a.st.totG, sums: a.st.exactSums(), groups: a.st.topGroups()}
+		a.st.release()
 		a.final = true
 	}
-	out := make([]float64, 1<<uint(a.n))
-	if a.bilinear {
-		out[0] = a.totF * a.totG
-	} else {
-		out[0] = a.totF * a.totF
-	}
-	for m := 1; m < len(out); m++ {
-		out[m] = a.masks[m].exact()
-	}
-	return out
-}
-
-// chunk is one span's worth of rows in columnar form.
-type chunk struct {
-	fs, gs []float64
-	lin    [][]lineage.TupleID
-}
-
-func (c *chunk) len() int { return len(c.fs) }
-
-// maskAccum is one mask's persistent group state: an open-addressing
-// grouper over projected-lineage hashes (full ID compare on collisions —
-// never a materialized key string), the group key material in a flat
-// slot-ordered ID array, the persistent group totals, and the running
-// Σ_groups (Σf)(Σg) adjusted group-by-group on each fold. Span-local shard
-// scratch is owned by the accumulator and REUSED across folds, so a wave
-// costs O(Δ + groups touched) with no per-wave table allocation.
-type maskAccum struct {
-	slots    []int
-	bilinear bool
-
-	g      hashtab.Grouper
-	keyIDs []lineage.TupleID // k IDs per group, first-seen order
-	fTot   []float64
-	gTot   []float64
-	run    float64
-
-	// Span-local shard, rebuilt in place per fold/live.
-	shardG    hashtab.Grouper
-	shardRows []int32
-	shardHash []uint64
-	shardF    []float64
-	shardGv   []float64
-}
-
-func newMaskAccum(set lineage.Set, bilinear bool) *maskAccum {
-	ms := &maskAccum{slots: set.Members(), bilinear: bilinear}
-	ms.g.Reset(0)
-	ms.shardG.Reset(0)
-	return ms
-}
-
-// projHashLin and projEqualLin are rowHash/rowEqual over bare lineage
-// columns (the chunk layout): same combine order, same full-compare
-// fallback.
-func projHashLin(lin [][]lineage.TupleID, slots []int, i int) uint64 {
-	h := uint64(linMomentSeed)
-	for _, s := range slots {
-		h = hashtab.Combine(h, hashtab.Mix(uint64(lin[s][i])))
-	}
-	return h
-}
-
-func projEqualLin(lin [][]lineage.TupleID, slots []int, i, j int) bool {
-	for _, s := range slots {
-		if lin[s][i] != lin[s][j] {
-			return false
-		}
-	}
-	return true
-}
-
-// keyEqualRow compares stored group id's key IDs against chunk row i.
-func (ms *maskAccum) keyEqualRow(id int32, lin [][]lineage.TupleID, i int) bool {
-	k := len(ms.slots)
-	key := ms.keyIDs[int(id)*k : (int(id)+1)*k]
-	for x, s := range ms.slots {
-		if key[x] != lin[s][i] {
-			return false
-		}
-	}
-	return true
-}
-
-// buildShard groups ch's rows span-locally into the reused shard scratch,
-// returning the group count — the same groups, first-seen order and value
-// sums as the historical map-based shardFor, without its allocations.
-func (ms *maskAccum) buildShard(ch *chunk) int {
-	ms.shardG.Reset(ch.len())
-	ms.shardRows = ms.shardRows[:0]
-	ms.shardHash = ms.shardHash[:0]
-	ms.shardF = ms.shardF[:0]
-	ms.shardGv = ms.shardGv[:0]
-	cand := 0
-	eq := func(id int32) bool {
-		return projEqualLin(ch.lin, ms.slots, cand, int(ms.shardRows[id]))
-	}
-	for i := 0; i < ch.len(); i++ {
-		cand = i
-		h := projHashLin(ch.lin, ms.slots, i)
-		id, fresh := ms.shardG.Get(h, eq)
-		if fresh {
-			ms.shardRows = append(ms.shardRows, int32(i))
-			ms.shardHash = append(ms.shardHash, h)
-			ms.shardF = append(ms.shardF, 0)
-			if ms.bilinear {
-				ms.shardGv = append(ms.shardGv, 0)
-			}
-		}
-		ms.shardF[id] += ch.fs[i]
-		if ms.bilinear {
-			ms.shardGv[id] += ch.gs[i]
-		}
-	}
-	return len(ms.shardRows)
-}
-
-func (ms *maskAccum) fold(ch *chunk) {
-	ng := ms.buildShard(ch)
-	rep := 0
-	eq := func(id int32) bool { return ms.keyEqualRow(id, ch.lin, rep) }
-	for j := 0; j < ng; j++ {
-		rep = int(ms.shardRows[j])
-		s, fresh := ms.g.Get(ms.shardHash[j], eq)
-		if fresh {
-			for _, sl := range ms.slots {
-				ms.keyIDs = append(ms.keyIDs, ch.lin[sl][rep])
-			}
-			ms.fTot = append(ms.fTot, 0)
-			if ms.bilinear {
-				ms.gTot = append(ms.gTot, 0)
-			}
-		}
-		oldF := ms.fTot[s]
-		newF := oldF + ms.shardF[j]
-		ms.fTot[s] = newF
-		if ms.bilinear {
-			oldG := ms.gTot[s]
-			newG := oldG + ms.shardGv[j]
-			ms.gTot[s] = newG
-			ms.run += newF*newG - oldF*oldG
-		} else {
-			ms.run += newF*newF - oldF*oldF
-		}
-	}
-}
-
-// live returns the moment including the (unfolded) tail chunk, without
-// mutating persistent group state (the shard scratch is fair game).
-func (ms *maskAccum) live(ch *chunk) float64 {
-	acc := ms.run
-	if ch == nil {
-		return acc
-	}
-	ng := ms.buildShard(ch)
-	rep := 0
-	eq := func(id int32) bool { return ms.keyEqualRow(id, ch.lin, rep) }
-	for j := 0; j < ng; j++ {
-		rep = int(ms.shardRows[j])
-		var oldF, oldG float64
-		if s := ms.g.Find(ms.shardHash[j], eq); s >= 0 {
-			oldF = ms.fTot[s]
-			if ms.bilinear {
-				oldG = ms.gTot[s]
-			}
-		}
-		newF := oldF + ms.shardF[j]
-		if ms.bilinear {
-			newG := oldG + ms.shardGv[j]
-			acc += newF*newG - oldF*oldG
-		} else {
-			acc += newF*newF - oldF*oldF
-		}
-	}
-	return acc
-}
-
-// exact recomputes the moment from the group totals in slot (first-seen)
-// order — the exact float sequence of mergeHashShards' final loop.
-func (ms *maskAccum) exact() float64 {
-	var acc float64
-	for s, f := range ms.fTot {
-		if ms.bilinear {
-			acc += f * ms.gTot[s]
-		} else {
-			acc += f * f
-		}
-	}
-	return acc
+	return a.Moments()
 }
 
 // EstimateFromMoments assembles a Result from an accumulator snapshot
@@ -465,20 +274,8 @@ func EstimateFromMoments(g *core.Params, total float64, y []float64, sampleRows 
 		VarianceRows: sampleRows,
 		Y:            y,
 	}
-	yhat, err := UnbiasedY(g, y)
-	if err != nil {
+	if err := res.price(g, g); err != nil {
 		return nil, err
-	}
-	res.YHat = yhat
-	raw, err := g.Variance(yhat)
-	if err != nil {
-		return nil, err
-	}
-	res.RawVariance = raw
-	res.Variance = raw
-	if raw < 0 {
-		res.Variance = 0
-		res.Clamped = true
 	}
 	return res, nil
 }
@@ -496,27 +293,5 @@ func RatioFromMoments(g *core.Params, totN, totD float64, yNN, yDD, yND []float6
 	if err != nil {
 		return nil, err
 	}
-	if dRes.Estimate == 0 {
-		return nil, fmt.Errorf("estimator: ratio with (estimated) zero denominator")
-	}
-	yhat, err := UnbiasedY(g, yND)
-	if err != nil {
-		return nil, err
-	}
-	cov, err := g.Variance(yhat)
-	if err != nil {
-		return nil, err
-	}
-	n, d := nRes.Estimate, dRes.Estimate
-	v := nRes.RawVariance/(d*d) - 2*n*cov/(d*d*d) + n*n*dRes.RawVariance/(d*d*d*d)
-	if v < 0 {
-		v = 0
-	}
-	return &RatioResult{
-		Estimate: n / d,
-		Variance: v,
-		Num:      nRes,
-		Den:      dRes,
-		Cov:      cov,
-	}, nil
+	return deltaRatio(g, nRes, dRes, yND)
 }

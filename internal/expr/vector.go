@@ -78,7 +78,7 @@ func (v Vec) ValueAt(i int) relation.Value {
 
 // TruthyAt reports element i's truthiness under relation.Value rules:
 // non-zero numbers are true, strings never are.
-func (v Vec) TruthyAt(i int) bool {
+func (v *Vec) TruthyAt(i int) bool {
 	if v.Const {
 		i = 0
 	}
@@ -106,6 +106,32 @@ func (v Vec) FloatAt(i int) (float64, error) {
 	default:
 		return 0, fmt.Errorf("relation: cannot read %q as float", v.S[i])
 	}
+}
+
+// FloatsInto stores FloatAt(k) in dst[k] for every k < len(dst) — the
+// bulk form, without a per-element call.
+func (v Vec) FloatsInto(dst []float64) error {
+	switch {
+	case len(dst) == 0:
+	case v.Const:
+		f, err := v.FloatAt(0)
+		if err != nil {
+			return err
+		}
+		for k := range dst {
+			dst[k] = f
+		}
+	case v.Kind == relation.KindFloat:
+		copy(dst, v.F[:len(dst)])
+	case v.Kind == relation.KindInt:
+		for k, i := range v.I[:len(dst)] {
+			dst[k] = float64(i)
+		}
+	default:
+		_, err := v.FloatAt(0)
+		return err
+	}
+	return nil
 }
 
 // Slice returns the dense sub-vector [lo, hi) sharing storage — the

@@ -179,3 +179,33 @@ func TestVecConstBroadcast(t *testing.T) {
 		}
 	}
 }
+
+// TestFloatsIntoMatchesFloatAt: the bulk conversion stores exactly what
+// FloatAt returns per element, and fails where FloatAt does.
+func TestFloatsIntoMatchesFloatAt(t *testing.T) {
+	vecs := []Vec{
+		{Kind: relation.KindFloat, F: []float64{1.5, -2, 0, 7.25}},
+		{Kind: relation.KindInt, I: []int64{3, -4, 0, 1 << 53}},
+		ConstVec(relation.Float(2.5)),
+		ConstVec(relation.Int(-9)),
+	}
+	for _, v := range vecs {
+		dst := make([]float64, 4)
+		if err := v.FloatsInto(dst); err != nil {
+			t.Fatal(err)
+		}
+		for k, got := range dst {
+			want, err := v.FloatAt(k)
+			if err != nil || got != want {
+				t.Fatalf("%+v: element %d = %v, FloatAt %v (%v)", v, k, got, want, err)
+			}
+		}
+	}
+	s := Vec{Kind: relation.KindString, S: []string{"x"}}
+	if err := s.FloatsInto(make([]float64, 1)); err == nil {
+		t.Fatal("string vector converted to floats")
+	}
+	if err := s.FloatsInto(nil); err != nil {
+		t.Fatalf("empty conversion failed: %v", err)
+	}
+}

@@ -1,6 +1,6 @@
 // Package online is the progressive (online-aggregation) executor: it
 // drives a prepared engine.WaveExec one partition wave at a time, folds
-// each wave's sample rows into incremental Theorem-1 accumulators
+// each wave's sample rows into an incremental Theorem-1 moment state
 // (estimator.Accum), and after every wave emits an Update carrying the
 // current estimate, variance and confidence interval together with how
 // much of the data has been scanned.
@@ -162,13 +162,14 @@ type Executor struct {
 }
 
 // itemState carries one item's per-stream state: the aggregate kernels,
-// compiled ONCE against the waves' fixed output schema, and the
-// accumulators — a plain Theorem-1 stream, or the numerator/denominator/
-// cross triple behind a delta-method ratio.
+// compiled ONCE against the waves' fixed output schema, the accumulator —
+// bilinear for a delta-method ratio, carrying numerator and denominator
+// through one lineage grouping — and per-row value buffers reused across
+// waves.
 type itemState struct {
-	f, den         *expr.VecCompiled
-	acc            *estimator.Accum // plain; also the numerator for ratios
-	accD, accCross *estimator.Accum // ratio only
+	f, den *expr.VecCompiled
+	acc    *estimator.Accum
+	fs, ds []float64
 }
 
 // Run executes waves until a stop condition fires, ctx is canceled, or
@@ -183,20 +184,20 @@ func (x *Executor) Run(ctx context.Context, emit func(Update) bool) error {
 	if err != nil {
 		return err
 	}
-	n := x.G.N()
+	// The one-shot query over the same plan groups lineage under the same
+	// rule, so the final update stays bit-identical to it.
+	aopts := estimator.Options{PartitionSize: x.Cfg.PartitionSize, DistinctLineage: x.Waves.DistinctLineage()}
 	states := make([]itemState, len(x.Items))
 	for i, it := range x.Items {
 		if states[i].f, err = compileF(it.F, outSchema); err != nil {
 			return err
 		}
-		states[i].acc = estimator.NewAccum(n, false, x.Cfg.PartitionSize)
 		if it.Ratio {
 			if states[i].den, err = compileF(it.Den, outSchema); err != nil {
 				return err
 			}
-			states[i].accD = estimator.NewAccum(n, false, x.Cfg.PartitionSize)
-			states[i].accCross = estimator.NewAccum(n, true, x.Cfg.PartitionSize)
 		}
+		states[i].acc = estimator.NewAccumWith(x.G.N(), it.Ratio, aopts)
 	}
 	start := time.Now() //gus:nondet-ok deadline early-stop is wall-clock by design; estimates stay wave-deterministic
 	w := x.Waves
@@ -230,12 +231,11 @@ func (x *Executor) Run(ctx context.Context, emit func(Update) bool) error {
 		if err != nil {
 			return err
 		}
-		if b.Len() > 0 {
-			for i, it := range x.Items {
-				if err := feedItem(&states[i], it, b); err != nil {
-					return err
-				}
-			}
+		err = feedWave(states, b)
+		// The accumulators keep no reference to the batch.
+		b.Release()
+		if err != nil {
+			return err
 		}
 		scanned := w.RowsThrough(pHi)
 		frac := float64(scanned) / float64(w.InputRows())
@@ -266,29 +266,32 @@ func (x *Executor) Run(ctx context.Context, emit func(Update) bool) error {
 	return nil
 }
 
-// feedItem evaluates the item's precompiled kernels over the wave batch
-// and folds the values into its accumulators. Per-row values are computed
+// feedWave evaluates every item's precompiled kernels over the wave batch
+// and folds the values into its accumulator. Per-row values are computed
 // by the same vectorized kernels as the one-shot batch estimator, so
 // folding every wave reproduces its floats exactly.
-func feedItem(st *itemState, it Item, b *batch.Batch) error {
-	fs, err := evalF(b, st.f)
-	if err != nil {
-		return err
-	}
-	if err := st.acc.Add(fs, nil, b.Lin); err != nil {
-		return err
-	}
-	if !it.Ratio {
+func feedWave(states []itemState, b *batch.Batch) error {
+	if b.Len() == 0 {
 		return nil
 	}
-	ds, err := evalF(b, st.den)
-	if err != nil {
-		return err
+	for i := range states {
+		st := &states[i]
+		var err error
+		if st.fs, err = evalF(b, st.f, st.fs); err != nil {
+			return err
+		}
+		var ds []float64
+		if st.den != nil {
+			if st.ds, err = evalF(b, st.den, st.ds); err != nil {
+				return err
+			}
+			ds = st.ds
+		}
+		if err := st.acc.Add(st.fs, ds, b.Lin); err != nil {
+			return err
+		}
 	}
-	if err := st.accD.Add(ds, nil, b.Lin); err != nil {
-		return err
-	}
-	return st.accCross.Add(fs, ds, b.Lin)
+	return nil
 }
 
 // compileF compiles an aggregate argument against the stream's wave
@@ -301,20 +304,20 @@ func compileF(f expr.Expr, schema *relation.Schema) (*expr.VecCompiled, error) {
 	return c, nil
 }
 
-// evalF computes the per-row aggregate values over a batch — the same
-// kernel evaluation and float conversions as estimator.EstimateBatch.
-func evalF(b *batch.Batch, c *expr.VecCompiled) ([]float64, error) {
+// evalF computes the per-row aggregate values over a batch into buf's
+// storage — the same kernel evaluation and float conversions as
+// estimator.EstimateBatch.
+func evalF(b *batch.Batch, c *expr.VecCompiled, buf []float64) ([]float64, error) {
 	v, err := c.EvalAll(b.Cols, b.Len())
 	if err != nil {
 		return nil, fmt.Errorf("online: aggregate: %w", err)
 	}
-	fs := make([]float64, b.Len())
-	for k := range fs {
-		fv, err := v.FloatAt(k)
-		if err != nil {
-			return nil, fmt.Errorf("online: aggregate: %w", err)
-		}
-		fs[k] = fv
+	if cap(buf) < b.Len() {
+		buf = make([]float64, b.Len())
+	}
+	fs := buf[:b.Len()]
+	if err := v.FloatsInto(fs); err != nil {
+		return nil, fmt.Errorf("online: aggregate: %w", err)
 	}
 	return fs, nil
 }
@@ -353,15 +356,12 @@ func (x *Executor) itemUpdate(st *itemState, it Item, gw *core.Params, final boo
 	vu := ValueUpdate{Name: it.Name, Kind: it.Kind, Approximate: it.Ratio}
 	var est, sd float64
 	clamped := false
+	if final {
+		st.acc.Finalize()
+	}
 	if it.Ratio {
-		totN, totD := st.acc.Total(), st.accD.Total()
-		var yNN, yDD, yND []float64
-		if final {
-			yNN, yDD, yND = st.acc.Finalize(), st.accD.Finalize(), st.accCross.Finalize()
-		} else {
-			yNN, yDD, yND = st.acc.Moments(), st.accD.Moments(), st.accCross.Moments()
-		}
-		rr, err := estimator.RatioFromMoments(gw, totN, totD, yNN, yDD, yND, st.acc.Rows())
+		yNN, yDD, yND := st.acc.RatioMoments()
+		rr, err := estimator.RatioFromMoments(gw, st.acc.Total(), st.acc.TotalG(), yNN, yDD, yND, st.acc.Rows())
 		if err != nil {
 			if !final {
 				// An early prefix may not have met the denominator yet;
@@ -371,23 +371,17 @@ func (x *Executor) itemUpdate(st *itemState, it Item, gw *core.Params, final boo
 			return vu, err
 		}
 		est, sd = rr.Estimate, rr.StdDev()
-		clamped = rr.Num.Clamped || rr.Den.Clamped
+		clamped = rr.Clamped
 	} else {
-		var y []float64
-		if final {
-			y = st.acc.Finalize()
-		} else {
-			y = st.acc.Moments()
-		}
-		res, err := estimator.EstimateFromMoments(gw, st.acc.Total(), y, st.acc.Rows())
+		res, err := estimator.EstimateFromMoments(gw, st.acc.Total(), st.acc.Moments(), st.acc.Rows())
 		if err != nil {
 			return vu, err
 		}
 		est, sd = res.Estimate, res.StdDev()
 		clamped = res.Clamped
 	}
-	// Grade this wave's CI from the accumulator's full-mask group stats —
-	// a read-only pass, so the estimate floats above are untouched.
+	// Grade this wave's CI from the group statistics the accumulator keeps
+	// current; they never feed back into the estimate above.
 	if d := estimator.DiagnoseAccum(st.acc, it.Ratio, clamped); d != nil {
 		vu.Reliability, vu.VarianceRSE = d.Grade, d.VarianceRSE
 	}

@@ -221,6 +221,28 @@ func Walk(n Node, fn func(Node)) {
 	}
 }
 
+// DistinctLineage reports whether every row the plan produces carries each
+// base tuple ID at most once per lineage slot, so the estimator may treat
+// every single-slot lineage group as one row (see
+// estimator.Options.DistinctLineage). Plans without set operations have
+// this property (self-joins are rejected at planning), except under SYSTEM
+// sampling, which rewrites lineage to block IDs that repeat for every
+// tuple of a kept block.
+func DistinctLineage(root Node) bool {
+	distinct := true
+	Walk(root, func(n Node) {
+		switch t := n.(type) {
+		case *Sample:
+			if _, block := t.Method.(*sampling.Block); block {
+				distinct = false
+			}
+		case *Union, *Intersect:
+			distinct = false
+		}
+	})
+	return distinct
+}
+
 // WrapScans returns a copy of the plan with every Scan leaf replaced by
 // wrap(scan). It is the hook for §8 "database as a sample" analyses, which
 // place GUS quasi-operators directly above base tables.

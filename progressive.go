@@ -44,7 +44,9 @@ type UpdateValue struct {
 	// VarianceRSE reports the variance estimate's own relative standard
 	// error, mirroring Value; early waves typically grade worse and
 	// improve as groups accumulate. Unlike one-shot queries, waves always
-	// carry diagnostics — the streaming accumulator makes them cheap.
+	// carry diagnostics: the moment state keeps the group statistics
+	// current as waves fold in, so grading a wave costs O(1) with
+	// distinct lineage (O(groups in the unfinished partition) otherwise).
 	Reliability string
 	VarianceRSE float64
 }

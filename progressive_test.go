@@ -320,3 +320,47 @@ func TestProgressiveStreamDoesNotBlockWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProgressiveReliabilityParity: a stream run to completion grades its
+// interval exactly like the traced one-shot query — same reliability
+// letter, same variance RSE — for SUM and AVG under Bernoulli, SYSTEM
+// (grouped block lineage) and REPEATABLE sampling.
+func TestProgressiveReliabilityParity(t *testing.T) {
+	db := progressiveDB(t, 3000)
+	var queries []string
+	for _, from := range []string{
+		"lineitem TABLESAMPLE (30 PERCENT)",
+		"lineitem TABLESAMPLE SYSTEM (25)",
+		"lineitem TABLESAMPLE (30 PERCENT) REPEATABLE (9)",
+	} {
+		queries = append(queries,
+			"SELECT SUM(l_extendedprice*(1.0-l_discount)) AS rev FROM "+from+" WHERE l_quantity < 40.0",
+			"SELECT AVG(l_extendedprice) AS avg_price FROM "+from+" WHERE l_quantity < 40.0")
+	}
+	for _, sql := range queries {
+		for seed := uint64(1); seed <= 5; seed++ {
+			opts := []Option{WithSeed(seed), WithWaveRows(1500)}
+			want, err := db.Query(sql, append(opts, WithTrace(&Trace{}))...)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			ups, err := drain(db.QueryProgressive(context.Background(), sql, opts...))
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			last := ups[len(ups)-1]
+			if !last.Final || len(ups) < 2 {
+				t.Fatalf("%s: stream did not run in waves to completion (%d updates)", sql, len(ups))
+			}
+			for i, v := range want.Values {
+				u := last.Values[i]
+				if v.Reliability == "" || u.Reliability != v.Reliability {
+					t.Fatalf("%s seed %d: reliability %q, one-shot %q", sql, seed, u.Reliability, v.Reliability)
+				}
+				if d := math.Abs(u.VarianceRSE - v.VarianceRSE); d > 1e-12*math.Abs(v.VarianceRSE) {
+					t.Fatalf("%s seed %d: variance RSE %.17g, one-shot %.17g", sql, seed, u.VarianceRSE, v.VarianceRSE)
+				}
+			}
+		}
+	}
+}
